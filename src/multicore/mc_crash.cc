@@ -12,8 +12,8 @@
 
 #include "checkpoint/checkpoint.hh"
 #include "common/rng.hh"
+#include "common/work_queue.hh"
 #include "sim/json.hh"
-#include "validate/work_queue.hh"
 #include "workloads/ycsb.hh"
 
 namespace slpmt

@@ -1,9 +1,15 @@
 #include "service/service.hh"
 
 #include <algorithm>
+#include <exception>
 #include <map>
 #include <memory>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
+#include "common/work_queue.hh"
 #include "compiler/compiler_policy.hh"
 #include "mem/paged_memory.hh"
 #include "workloads/factory.hh"
@@ -20,10 +26,13 @@ struct ExpectedValue
     std::uint32_t valueBytes = 0;
 };
 
-/** Expected final KV state of the whole service: every mutation of
- *  the arrival-ordered load folded last-write-wins. */
-std::map<std::uint64_t, ExpectedValue>
-expectedState(const SvcLoad &load)
+/** One shard's slice of the expected final KV state, in key order. */
+using ShardOracle = std::vector<std::pair<std::uint64_t, ExpectedValue>>;
+
+/** Expected final KV state of the whole service, split by shard:
+ *  every mutation of the arrival-ordered load folded last-write-wins. */
+std::vector<ShardOracle>
+expectedState(const SvcLoad &load, const ShardRouter &router)
 {
     std::map<std::uint64_t, ExpectedValue> expected;
     for (const SvcOp &op : load.preload)
@@ -32,7 +41,10 @@ expectedState(const SvcLoad &load)
         if (op.isMutation())
             expected[op.key] = {op.valueSalt, op.valueBytes};
     }
-    return expected;
+    std::vector<ShardOracle> shards(router.numShards());
+    for (const auto &[key, value] : expected)
+        shards[router.shardOf(key)].emplace_back(key, value);
+    return shards;
 }
 
 /** Per-op service instrument handles. */
@@ -63,6 +75,22 @@ struct ServiceCounters
         latency = g.histogram("latency", serviceLatencyBounds());
         commitLatency =
             g.histogram("commitLatency", serviceLatencyBounds());
+    }
+
+    /** Fold in another registry's instruments (a shard's). */
+    void
+    add(const ServiceCounters &o)
+    {
+        shardOps += o.shardOps.get();
+        reads += o.reads.get();
+        readHits += o.readHits.get();
+        inserts += o.inserts.get();
+        updates += o.updates.get();
+        rmws += o.rmws.get();
+        scannedKeys += o.scannedKeys.get();
+        upsertFallbacks += o.upsertFallbacks.get();
+        latency.merge(*o.latency.get());
+        commitLatency.merge(*o.commitLatency.get());
     }
 
     void
@@ -123,6 +151,116 @@ class ShardCoreDriver : public McCoreDriver
     ServiceCounters &counters;
     std::size_t cursor = 0;
 };
+
+/** What one shard's life hands back to the merge. */
+struct ShardRun
+{
+    ShardRun() = default;
+    ShardRun(const ShardRun &) = delete;
+    ShardRun &operator=(const ShardRun &) = delete;
+
+    StatsRegistry stats;               //!< backs counters only
+    ServiceCounters counters{stats};   //!< measured-window requests
+    StatsSnapshot before;              //!< machine, window start
+    StatsSnapshot after;               //!< machine, window end
+    Cycles cycles = 0;                 //!< slowest core's window
+    std::uint64_t imageFp = 0;         //!< PM image at window end
+    std::string failure;               //!< oracle diagnostic, if any
+    std::exception_ptr error;          //!< exception thrown, if any
+};
+
+/**
+ * One shard's whole life: construct its machine, set up and preload
+ * its structure, run the measured window, capture its identities and
+ * verify it against its slice of the oracle. The machine dies on the
+ * calling thread before this returns.
+ */
+void
+runShard(const ServiceConfig &cfg, const SystemConfig &sys_cfg,
+         std::size_t s, const std::vector<ShardOp> &preload,
+         const std::vector<ShardOp> &stream, const ShardOracle &expected,
+         ShardRun &run)
+{
+    const auto machine_ptr = std::make_unique<McMachine>(sys_cfg);
+    McMachine &machine = *machine_ptr;
+    if (cfg.policy)
+        machine.setAnnotationPolicy(cfg.policy);
+    const std::unique_ptr<Workload> wl = makeWorkload(cfg.workload);
+    wl->setup(machine.context(0));
+    // Preload (outside the measured window): arrival order on core 0,
+    // like every driver's setup phase.
+    for (const ShardOp &op : preload)
+        applyShardOp(machine.context(0), *wl, op);
+
+    // Measured window: the shard's request phase.
+    run.before = machine.snapshot();
+    std::vector<Cycles> start;
+    for (std::size_t c = 0; c < cfg.coresPerShard; ++c)
+        start.push_back(machine.core(c).engine().now());
+    if (cfg.coresPerShard == 1) {
+        for (const ShardOp &op : stream)
+            run.counters.note(op,
+                              applyShardOp(machine.context(0), *wl, op));
+    } else {
+        // Deal the shard's stream over its cores *by key* — the
+        // last-write-wins oracle needs every key's mutations to stay
+        // program-ordered, and a key's insert must precede its
+        // updates; pinning each key to one core preserves both while
+        // cross-key interleaving stays free. Then interleave with the
+        // seeded scheduler (a distinct seed per shard so shards do not
+        // replay each other's draws).
+        constexpr std::uint64_t core_salt = 0xc0de'5a17'dea1ULL;
+        std::vector<std::vector<ShardOp>> slices(cfg.coresPerShard);
+        for (const ShardOp &op : stream)
+            slices[mix64Salted(op.key, core_salt) % cfg.coresPerShard]
+                .push_back(op);
+        std::vector<std::unique_ptr<ShardCoreDriver>> drivers;
+        std::vector<McCoreDriver *> ptrs;
+        for (std::size_t c = 0; c < cfg.coresPerShard; ++c) {
+            drivers.push_back(std::make_unique<ShardCoreDriver>(
+                machine.context(c), *wl, std::move(slices[c]),
+                run.counters));
+            ptrs.push_back(drivers.back().get());
+        }
+        McSchedConfig sched = cfg.sched;
+        sched.seed = mix64Salted(cfg.sched.seed, s + 1);
+        runInterleaved(machine, ptrs, sched);
+    }
+    for (std::size_t c = 0; c < cfg.coresPerShard; ++c)
+        run.cycles = std::max(run.cycles,
+                              machine.core(c).engine().now() - start[c]);
+
+    // Capture the bit-for-bit identities before verification perturbs
+    // caches and clocks.
+    run.after = machine.snapshot();
+    run.imageFp = pmImageFingerprint(machine);
+
+    // Verification (outside the measured window): the shard against
+    // its slice of the last-write-wins oracle.
+    PmContext &ctx = machine.context(0);
+    const std::string shard = "shard " + std::to_string(s);
+    std::string why;
+    if (!wl->checkConsistency(ctx, &why)) {
+        run.failure = shard + " consistency: " + why;
+        return;
+    }
+    if (wl->count(ctx) != expected.size()) {
+        run.failure = shard + " count mismatch: holds " +
+                      std::to_string(wl->count(ctx)) +
+                      ", oracle expects " +
+                      std::to_string(expected.size());
+        return;
+    }
+    std::vector<std::uint8_t> got;
+    for (const auto &[key, value] : expected) {
+        if (!wl->lookup(ctx, key, &got) ||
+            got != svcValueFor(key, value.valueSalt, value.valueBytes)) {
+            run.failure =
+                shard + " lookup mismatch at key " + std::to_string(key);
+            return;
+        }
+    }
+}
 
 const AnnotationPolicy *
 policyFor(AnnotationMode mode)
@@ -212,103 +350,62 @@ runService(const ServiceConfig &cfg)
     panicIfNot(cfg.coresPerShard >= 1,
                "service shards need at least one core");
 
-    KvServiceResult res;
     const SvcLoad load = svcGenerate(cfg.load);
     const ShardRouter router(cfg.numShards, cfg.routerSalt);
     const auto preload = routeOps(router, load.preload, load.keySalt);
     const auto streams = routeOps(router, load.ops, load.keySalt);
 
+    const std::vector<ShardOracle> expected = expectedState(load, router);
+
     SystemConfig sys_cfg = cfg.sys;
     sys_cfg.numCores = cfg.coresPerShard;
 
+    // Each shard's whole life runs as one pool item and records into
+    // its own ShardRun; nothing else is shared but read-only inputs.
+    std::vector<ShardRun> runs(cfg.numShards);
+    const std::size_t workers =
+        std::min(cfg.numShards, poolThreadBudget());
+    runWorkStealing(workers, cfg.numShards, [&](std::size_t s) {
+        try {
+            runShard(cfg, sys_cfg, s, preload[s], streams[s],
+                     expected[s], runs[s]);
+        } catch (...) {
+            runs[s].error = std::current_exception();
+        }
+    });
+#if defined(__GLIBC__)
+    // Worker threads allocate from their own malloc arenas, which keep
+    // the destroyed shards' pages resident; hand them back.
+    if (workers > 1)
+        malloc_trim(0);
+#endif
+
+    // Merge in shard order: the service instruments sum into one
+    // registry, shard machine deltas land under "shardN.".
+    KvServiceResult res;
     StatsRegistry svc_stats;
     ServiceCounters counters(svc_stats);
-
-    std::vector<std::unique_ptr<McMachine>> shards;
-    std::vector<std::unique_ptr<Workload>> workloads;
+    res.verified = true;
     for (std::size_t s = 0; s < cfg.numShards; ++s) {
-        shards.push_back(std::make_unique<McMachine>(sys_cfg));
-        if (cfg.policy)
-            shards.back()->setAnnotationPolicy(cfg.policy);
-        workloads.push_back(makeWorkload(cfg.workload));
-        workloads.back()->setup(shards.back()->context(0));
-        // Preload (outside the measured window): arrival order on
-        // core 0, like every driver's setup phase.
-        for (const ShardOp &op : preload[s])
-            applyShardOp(shards.back()->context(0), *workloads[s], op);
-    }
-
-    // Measured window: the request phase, shard by shard. Shards
-    // share no simulated state, so serial execution here is
-    // observationally identical to any parallel interleaving; the
-    // makespan (slowest shard) is the service-level wall time.
-    const StatsSnapshot svc_before = svc_stats.snapshot();
-    res.shardCycles.resize(cfg.numShards, 0);
-    res.shardOps.resize(cfg.numShards, 0);
-    std::vector<StatsSnapshot> shard_before(cfg.numShards);
-    for (std::size_t s = 0; s < cfg.numShards; ++s) {
-        McMachine &machine = *shards[s];
-        shard_before[s] = machine.snapshot();
-        std::vector<Cycles> start;
-        for (std::size_t c = 0; c < cfg.coresPerShard; ++c)
-            start.push_back(machine.core(c).engine().now());
-
-        res.shardOps[s] = streams[s].size();
-        if (cfg.coresPerShard == 1) {
-            for (const ShardOp &op : streams[s])
-                counters.note(op, applyShardOp(machine.context(0),
-                                               *workloads[s], op));
-        } else {
-            // Deal the shard's stream over its cores *by key* — the
-            // last-write-wins oracle needs every key's mutations to
-            // stay program-ordered, and a key's insert must precede
-            // its updates; pinning each key to one core preserves
-            // both while cross-key interleaving stays free. Then
-            // interleave with the seeded scheduler (a distinct seed
-            // per shard so shards do not replay each other's draws).
-            constexpr std::uint64_t core_salt = 0xc0de'5a17'dea1ULL;
-            std::vector<std::vector<ShardOp>> slices(
-                cfg.coresPerShard);
-            for (const ShardOp &op : streams[s])
-                slices[mix64Salted(op.key, core_salt) %
-                       cfg.coresPerShard]
-                    .push_back(op);
-            std::vector<std::unique_ptr<ShardCoreDriver>> drivers;
-            std::vector<McCoreDriver *> ptrs;
-            for (std::size_t c = 0; c < cfg.coresPerShard; ++c) {
-                drivers.push_back(std::make_unique<ShardCoreDriver>(
-                    machine.context(c), *workloads[s],
-                    std::move(slices[c]), counters));
-                ptrs.push_back(drivers.back().get());
-            }
-            McSchedConfig sched = cfg.sched;
-            sched.seed = mix64Salted(cfg.sched.seed, s + 1);
-            runInterleaved(machine, ptrs, sched);
+        ShardRun &run = runs[s];
+        if (run.error)
+            std::rethrow_exception(run.error);
+        counters.add(run.counters);
+        res.shardCycles.push_back(run.cycles);
+        res.shardOps.push_back(streams[s].size());
+        res.makespan = std::max(res.makespan, run.cycles);
+        res.shardImageFp.push_back(run.imageFp);
+        if (res.verified && !run.failure.empty()) {
+            res.verified = false;
+            res.failure = std::move(run.failure);
         }
-
-        for (std::size_t c = 0; c < cfg.coresPerShard; ++c)
-            res.shardCycles[s] =
-                std::max(res.shardCycles[s],
-                         machine.core(c).engine().now() - start[c]);
-        res.makespan = std::max(res.makespan, res.shardCycles[s]);
-
-        // Capture the bit-for-bit identities before verification
-        // perturbs caches and clocks.
-        res.shardSnapshots.push_back(machine.snapshot());
-        res.shardImageFp.push_back(pmImageFingerprint(machine));
-    }
-
-    // Merge the measured-window deltas: service instruments under
-    // their own names, shard machine deltas under "shardN.".
-    res.stats = StatsRegistry::delta(svc_before, svc_stats.snapshot());
-    for (std::size_t s = 0; s < cfg.numShards; ++s) {
-        const StatsSnapshot delta = StatsRegistry::delta(
-            shard_before[s], res.shardSnapshots[s]);
-        const std::string prefix =
-            "shard" + std::to_string(s) + ".";
-        for (const auto &[name, value] : delta)
+        const std::string prefix = "shard" + std::to_string(s) + ".";
+        for (const auto &[name, value] :
+             StatsRegistry::delta(run.before, run.after))
             res.stats[prefix + name] = value;
+        res.shardSnapshots.push_back(std::move(run.after));
     }
+    res.stats.merge(svc_stats.snapshot());
 
     // Derived integer gauges the figure table reads.
     const StatsRegistry::HistogramData &lat =
@@ -329,49 +426,6 @@ runService(const ServiceConfig &cfg)
     if (res.makespan > 0)
         res.stats["service.opsPerGcycle"] =
             load.ops.size() * 1'000'000'000ULL / res.makespan;
-
-    // Verification (outside the measured window): every shard against
-    // the last-write-wins oracle of the arrival-ordered load.
-    const auto expected = expectedState(load);
-    std::vector<std::size_t> expected_counts(cfg.numShards, 0);
-    for (const auto &[key, value] : expected)
-        expected_counts[router.shardOf(key)]++;
-
-    res.verified = true;
-    for (std::size_t s = 0; s < cfg.numShards && res.verified; ++s) {
-        PmContext &ctx = shards[s]->context(0);
-        Workload &wl = *workloads[s];
-        std::string why;
-        if (!wl.checkConsistency(ctx, &why)) {
-            res.verified = false;
-            res.failure =
-                "shard " + std::to_string(s) + " consistency: " + why;
-            break;
-        }
-        if (wl.count(ctx) != expected_counts[s]) {
-            res.verified = false;
-            res.failure = "shard " + std::to_string(s) +
-                          " count mismatch: holds " +
-                          std::to_string(wl.count(ctx)) +
-                          ", oracle expects " +
-                          std::to_string(expected_counts[s]);
-            break;
-        }
-        std::vector<std::uint8_t> got;
-        for (const auto &[key, value] : expected) {
-            if (router.shardOf(key) != s)
-                continue;
-            if (!wl.lookup(ctx, key, &got) ||
-                got != svcValueFor(key, value.valueSalt,
-                                   value.valueBytes)) {
-                res.verified = false;
-                res.failure = "shard " + std::to_string(s) +
-                              " lookup mismatch at key " +
-                              std::to_string(key);
-                break;
-            }
-        }
-    }
     return res;
 }
 
@@ -416,6 +470,8 @@ runServiceExperiment(const std::string &workload_name,
     result.workload = workload_name;
     result.scheme = cfg.scheme;
     result.cycles = run.makespan;
+    for (const Cycles c : run.shardCycles)
+        result.shardCyclesSum += c;
 
     // Shared-device counters appear once per shard under "shardN.";
     // engine counters per core under "shardN.coreM.". Summing

@@ -13,13 +13,23 @@
  * (p50/p99/p999) and per-shard engine/memory statistics.
  *
  * Determinism contract: the run is a pure function of ServiceConfig.
- * The generator, the router, and per-shard execution are all seeded
- * and single-threaded per shard (shards share no simulated state, so
- * executing them one after the other equals any interleaving of
- * independent machines); reports are byte-identical across reruns and
- * orchestrator worker counts. A 1-shard service run is bit-identical
- * to executing the same routed stream on a plain McMachine — the
- * differential anchor tests/test_service.cc pins.
+ * Generation, routing and the last-write-wins oracle run once, on the
+ * caller's thread. Each shard's whole life — machine construction,
+ * set-up and preload, the measured window, its snapshot and PM-image
+ * fingerprint, and its slice of the oracle check — then runs on a
+ * host thread pool of min(numShards, hardware threads) workers,
+ * inline on the caller when that is one or when the caller is itself
+ * a pool worker (a service cell under the figure orchestrator, whose
+ * pool already fills the hardware). Shards share no simulated
+ * state and each records into its own registry; after the join their
+ * instruments merge in shard order (counters sum, histograms combine
+ * buckets, count, sum, min and max), and the failure text is the
+ * first failing shard's in index order. Reports are therefore
+ * byte-identical across reruns, host thread counts and orchestrator
+ * worker counts. A 1-shard service run is bit-identical to executing
+ * the same routed stream on a plain McMachine, and a multi-shard run
+ * to a serial shard-by-shard rebuild from the public calls — the
+ * differential anchors tests/test_service.cc pins.
  */
 
 #ifndef SLPMT_SERVICE_SERVICE_HH
@@ -121,8 +131,10 @@ struct KvServiceResult
     std::string failure;    //!< diagnostic when !verified
 };
 
-/** Run one service load to completion and verify every shard against
- *  the last-write-wins oracle of the request stream. */
+/** Run one service load to completion, shards on host threads, and
+ *  verify every shard against the last-write-wins oracle of the
+ *  request stream. An exception a shard throws is rethrown here
+ *  (the lowest-indexed shard's) after every shard has finished. */
 KvServiceResult runService(const ServiceConfig &cfg);
 
 /**

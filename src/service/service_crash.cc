@@ -8,7 +8,7 @@
 
 #include "checkpoint/checkpoint.hh"
 #include "common/rng.hh"
-#include "validate/work_queue.hh"
+#include "common/work_queue.hh"
 #include "workloads/factory.hh"
 #include "workloads/ycsb.hh"
 

@@ -129,6 +129,17 @@ struct ExperimentResult
     /** Full flattened stats delta of the measured window. */
     StatsSnapshot stats;
 
+    /** Service cells: every shard's op-phase cycles summed (cycles
+     *  holds only the slowest shard's); 0 for one-machine cells. */
+    Cycles shardCyclesSum = 0;
+
+    /** Simulated cycles the cell executed, across all its machines. */
+    Cycles
+    simulatedWork() const
+    {
+        return shardCyclesSum ? shardCyclesSum : cycles;
+    }
+
     double
     speedupOver(const ExperimentResult &base) const
     {

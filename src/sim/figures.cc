@@ -1105,9 +1105,14 @@ runProfile(const BenchOptions &opts)
                          name.c_str(), failures.c_str());
         }
 
+        // Rates divide simulated work, which for a service cell is
+        // every shard's cycles, not the makespan its report holds.
         std::uint64_t sim_cycles = 0;
-        for (const ExperimentResult &res : result.results)
+        std::uint64_t sim_work = 0;
+        for (const ExperimentResult &res : result.results) {
             sim_cycles += res.cycles;
+            sim_work += res.simulatedWork();
+        }
 
         w.key(name).beginObject();
         w.key("cells").beginObject();
@@ -1121,8 +1126,8 @@ runProfile(const BenchOptions &opts)
             w.key("simCycles").value(result.results[i].cycles);
             if (result.wallMicros[i] > 0) {
                 w.key("simCyclesPerSec")
-                    .value(result.results[i].cycles * 1'000'000 /
-                           result.wallMicros[i]);
+                    .value(result.results[i].simulatedWork() *
+                           1'000'000 / result.wallMicros[i]);
             }
             w.endObject();
         }
@@ -1131,7 +1136,7 @@ runProfile(const BenchOptions &opts)
         w.key("totalSimCycles").value(sim_cycles);
         if (wall_us > 0)
             w.key("simCyclesPerSec")
-                .value(sim_cycles * 1'000'000 / wall_us);
+                .value(sim_work * 1'000'000 / wall_us);
         if (allocation_counter)
             w.key("hostAllocs").value(figure_allocs);
 

@@ -3,9 +3,8 @@
 #include <chrono>
 #include <exception>
 #include <map>
-#include <thread>
 
-#include "validate/work_queue.hh"
+#include "common/work_queue.hh"
 
 namespace slpmt
 {
@@ -125,10 +124,8 @@ runCases(std::vector<ExperimentCase> cases, std::size_t num_workers)
     out.wallMicros.resize(cases.size(), 0);
     out.cases = std::move(cases);
 
-    if (num_workers == 0) {
-        const unsigned hw = std::thread::hardware_concurrency();
-        num_workers = hw ? hw : 1;
-    }
+    if (num_workers == 0)
+        num_workers = poolThreadBudget();
     num_workers = std::min(num_workers, out.cases.size());
 
     // Each item writes only its own caller-owned slot, so the merged

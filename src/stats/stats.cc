@@ -64,6 +64,21 @@ quantileBucket(const StatsRegistry::HistogramData &h, std::uint64_t num,
 
 } // namespace
 
+void
+StatsRegistry::HistogramData::merge(const HistogramData &other)
+{
+    panicIfNot(bounds == other.bounds,
+               "merging histograms with different bucket bounds");
+    for (std::size_t b = 0; b < buckets.size(); ++b)
+        buckets[b] += other.buckets[b];
+    count += other.count;
+    sum += other.sum;
+    if (other.min < min)
+        min = other.min;
+    if (other.max > max)
+        max = other.max;
+}
+
 std::uint64_t
 StatsRegistry::HistogramData::percentile(std::uint64_t num,
                                          std::uint64_t den) const

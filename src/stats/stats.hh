@@ -73,6 +73,13 @@ class StatsRegistry
                 max = v;
         }
 
+        /**
+         * Fold in @p other's samples, as if each had been recorded
+         * here: buckets, count and sum add; min and max combine.
+         * Panics unless both histograms share the same bounds.
+         */
+        void merge(const HistogramData &other);
+
         void
         reset()
         {
@@ -145,6 +152,7 @@ class StatsRegistry
         Histogram() = default;
 
         void record(std::uint64_t v) { if (data) data->record(v); }
+        void merge(const HistogramData &d) { if (data) data->merge(d); }
         const HistogramData *get() const { return data; }
 
       private:

@@ -12,9 +12,9 @@
 #include <thread>
 
 #include "checkpoint/checkpoint.hh"
+#include "common/work_queue.hh"
 #include "core/pm_system.hh"
 #include "sim/json.hh"
-#include "validate/work_queue.hh"
 #include "workloads/factory.hh"
 
 namespace slpmt

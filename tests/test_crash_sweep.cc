@@ -16,7 +16,7 @@
 
 #include "sim/json.hh"
 #include "validate/crash_explorer.hh"
-#include "validate/work_queue.hh"
+#include "common/work_queue.hh"
 #include "workloads/factory.hh"
 
 namespace slpmt
@@ -315,6 +315,16 @@ TEST(WorkQueue, ZeroAndSingleItemEdgeCases)
     EXPECT_EQ(done.load(), 0u);
     runWorkStealing(4, 1, [&](std::size_t) { done++; });
     EXPECT_EQ(done.load(), 1u);
+}
+
+TEST(WorkQueue, NestedPoolsGetOneThreadEach)
+{
+    EXPECT_GE(poolThreadBudget(), 1u);
+    std::vector<std::size_t> budget(8, 0);
+    runWorkStealing(2, budget.size(),
+                    [&](std::size_t i) { budget[i] = poolThreadBudget(); });
+    for (std::size_t i = 0; i < budget.size(); ++i)
+        EXPECT_EQ(budget[i], 1u) << "item " << i;
 }
 
 // ---------------------------------------------------------------------

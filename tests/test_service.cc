@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <map>
+#include <memory>
 #include <set>
 
 #include "service/service.hh"
@@ -223,6 +226,206 @@ TEST(ServiceRun, LatencyPercentileGaugesAreOrdered)
     EXPECT_LE(res.stats.at("service.commitLatency.p50"),
               res.stats.at("service.commitLatency.p999"));
     EXPECT_GT(res.stats.at("service.opsPerGcycle"), 0u);
+}
+
+/** A core's slice of a shard stream, recorded like the service does. */
+class RefereeDriver : public McCoreDriver
+{
+  public:
+    RefereeDriver(PmContext &ctx, Workload &wl,
+                  std::vector<ShardOp> ops,
+                  std::function<void(const ShardOp &,
+                                     const ShardOpOutcome &)> note)
+        : ctx(ctx), wl(wl), ops(std::move(ops)), note(std::move(note))
+    {
+    }
+
+    bool done() const override { return cursor >= ops.size(); }
+
+    void
+    step() override
+    {
+        const ShardOp &op = ops[cursor++];
+        note(op, applyShardOp(ctx, wl, op));
+    }
+
+  private:
+    PmContext &ctx;
+    Workload &wl;
+    std::vector<ShardOp> ops;
+    std::function<void(const ShardOp &, const ShardOpOutcome &)> note;
+    std::size_t cursor = 0;
+};
+
+// The serial referee: the whole service rebuilt shard after shard on
+// the caller's thread from the public calls, recording every request
+// into one registry. runService() runs its shards on host threads and
+// merges per-shard instruments; the two must agree bit for bit.
+TEST(ServiceDifferential, ThreadedRunMatchesSerialReferee)
+{
+    for (const YcsbMix mix : {YcsbMix::A, YcsbMix::E}) {
+        for (std::size_t shards : {2, 4}) {
+            for (std::size_t cores : {1, 2}) {
+                SCOPED_TRACE(std::string(ycsbMixName(mix)) + ", " +
+                             std::to_string(shards) + " shards x " +
+                             std::to_string(cores) + " cores");
+                ServiceConfig cfg = smallService(shards, mix);
+                cfg.coresPerShard = cores;
+                const KvServiceResult res = runService(cfg);
+                ASSERT_TRUE(res.verified) << res.failure;
+
+                const SvcLoad load = svcGenerate(cfg.load);
+                const ShardRouter router(shards, cfg.routerSalt);
+                const auto preload =
+                    routeOps(router, load.preload, load.keySalt);
+                const auto streams =
+                    routeOps(router, load.ops, load.keySalt);
+                std::map<std::uint64_t, std::vector<std::uint8_t>> oracle;
+                for (const SvcOp &op : load.preload)
+                    oracle[op.key] = svcValueFor(op.key, op.valueSalt,
+                                                 op.valueBytes);
+                for (const SvcOp &op : load.ops)
+                    if (op.isMutation())
+                        oracle[op.key] = svcValueFor(
+                            op.key, op.valueSalt, op.valueBytes);
+
+                StatsRegistry reg;
+                const StatGroup g(reg, "service");
+                auto latency =
+                    g.histogram("latency", serviceLatencyBounds());
+                auto commit = g.histogram("commitLatency",
+                                          serviceLatencyBounds());
+                auto note = [&](const ShardOp &op,
+                                const ShardOpOutcome &out) {
+                    g.counter("shardOps")++;
+                    latency.record(out.cycles);
+                    if (op.isMutation())
+                        commit.record(out.cycles);
+                    if (out.fallbackInsert)
+                        g.counter("upsertFallbacks")++;
+                    switch (op.kind) {
+                      case SvcOpKind::Insert:
+                        g.counter("inserts")++;
+                        break;
+                      case SvcOpKind::Update:
+                        g.counter("updates")++;
+                        break;
+                      case SvcOpKind::ReadModifyWrite:
+                        g.counter("rmws")++;
+                        break;
+                      case SvcOpKind::Scan:
+                        g.counter("scannedKeys")++;
+                        [[fallthrough]];
+                      case SvcOpKind::Read:
+                        g.counter("reads")++;
+                        if (out.hit)
+                            g.counter("readHits")++;
+                        break;
+                    }
+                };
+                for (const char *name :
+                     {"shardOps", "reads", "readHits", "inserts",
+                      "updates", "rmws", "scannedKeys",
+                      "upsertFallbacks"})
+                    g.counter(name);
+
+                SystemConfig sys_cfg = cfg.sys;
+                sys_cfg.numCores = cores;
+                Cycles makespan = 0;
+                std::vector<Cycles> shard_cycles;
+                std::vector<std::uint64_t> image_fp;
+                std::vector<StatsSnapshot> after;
+                StatsSnapshot shard_deltas;
+                for (std::size_t s = 0; s < shards; ++s) {
+                    McMachine machine(sys_cfg);
+                    auto wl = makeWorkload(cfg.workload);
+                    wl->setup(machine.context(0));
+                    for (const ShardOp &op : preload[s])
+                        applyShardOp(machine.context(0), *wl, op);
+
+                    const StatsSnapshot before = machine.snapshot();
+                    std::vector<Cycles> start;
+                    for (std::size_t c = 0; c < cores; ++c)
+                        start.push_back(machine.core(c).engine().now());
+                    std::vector<std::vector<ShardOp>> slices(cores);
+                    for (const ShardOp &op : streams[s])
+                        slices[mix64Salted(op.key,
+                                           0xc0de'5a17'dea1ULL) %
+                               cores]
+                            .push_back(op);
+                    std::vector<std::unique_ptr<RefereeDriver>> drivers;
+                    std::vector<McCoreDriver *> ptrs;
+                    for (std::size_t c = 0; c < cores; ++c) {
+                        drivers.push_back(std::make_unique<RefereeDriver>(
+                            machine.context(c), *wl,
+                            std::move(slices[c]), note));
+                        ptrs.push_back(drivers.back().get());
+                    }
+                    if (cores == 1) {
+                        while (!drivers[0]->done())
+                            drivers[0]->step();
+                    } else {
+                        McSchedConfig sched = cfg.sched;
+                        sched.seed = mix64Salted(cfg.sched.seed, s + 1);
+                        runInterleaved(machine, ptrs, sched);
+                    }
+                    Cycles cycles = 0;
+                    for (std::size_t c = 0; c < cores; ++c)
+                        cycles = std::max(
+                            cycles,
+                            machine.core(c).engine().now() - start[c]);
+                    shard_cycles.push_back(cycles);
+                    makespan = std::max(makespan, cycles);
+                    after.push_back(machine.snapshot());
+                    image_fp.push_back(pmImageFingerprint(machine));
+                    for (const auto &[name, value] :
+                         StatsRegistry::delta(before, after.back()))
+                        shard_deltas["shard" + std::to_string(s) + "." +
+                                     name] = value;
+
+                    PmContext &ctx = machine.context(0);
+                    std::string why;
+                    EXPECT_TRUE(wl->checkConsistency(ctx, &why)) << why;
+                    std::size_t held = 0;
+                    std::vector<std::uint8_t> got;
+                    for (const auto &[key, value] : oracle) {
+                        if (router.shardOf(key) != s)
+                            continue;
+                        ++held;
+                        EXPECT_TRUE(wl->lookup(ctx, key, &got) &&
+                                    got == value)
+                            << "shard " << s << " key " << key;
+                    }
+                    EXPECT_EQ(wl->count(ctx), held) << "shard " << s;
+                }
+
+                EXPECT_EQ(res.makespan, makespan);
+                EXPECT_EQ(res.shardCycles, shard_cycles);
+                EXPECT_EQ(res.shardImageFp, image_fp);
+                EXPECT_EQ(res.shardSnapshots, after);
+
+                StatsSnapshot expected = reg.snapshot();
+                expected.merge(shard_deltas);
+                const auto &lat = *latency.get();
+                const auto &com = *commit.get();
+                expected["service.latency.p50"] = lat.percentile(50, 100);
+                expected["service.latency.p99"] = lat.percentile(99, 100);
+                expected["service.latency.p999"] =
+                    lat.percentile(999, 1000);
+                expected["service.commitLatency.p50"] =
+                    com.percentile(50, 100);
+                expected["service.commitLatency.p99"] =
+                    com.percentile(99, 100);
+                expected["service.commitLatency.p999"] =
+                    com.percentile(999, 1000);
+                expected["service.requests"] = load.ops.size();
+                expected["service.makespanCycles"] = makespan;
+                expected["service.opsPerGcycle"] =
+                    load.ops.size() * 1'000'000'000ULL / makespan;
+                EXPECT_EQ(res.stats, expected);
+            }
+        }
+    }
 }
 
 TEST(ServiceExperiment, DispatchesServiceCellsAndMapsMetrics)

@@ -317,6 +317,57 @@ TEST(HistogramPercentile, WithinBucketBoundOnRandomizedInputs)
     }
 }
 
+TEST(HistogramPercentile, MergedPartsEqualOneHistogram)
+{
+    // The service's shard merge: samples recorded into k separate
+    // registries and then merged in order must be indistinguishable
+    // from recording them all into one histogram.
+    std::vector<std::uint64_t> bounds;
+    for (std::uint64_t v = 64; v < 20'000'000; v += v / 4)
+        bounds.push_back(v);
+
+    for (std::size_t k : {1, 2, 3, 4, 7}) {
+        StatsRegistry whole_reg;
+        auto whole = whole_reg.histogram("lat", bounds);
+        std::vector<StatsRegistry> part_regs(k);
+        std::vector<StatsRegistry::Histogram> parts;
+        for (StatsRegistry &reg : part_regs)
+            parts.push_back(reg.histogram("lat", bounds));
+
+        Rng rng(mix64(k));
+        for (int i = 0; i < 3000; ++i) {
+            // Spans every bucket, the +inf overflow bucket included.
+            const std::uint64_t v =
+                (rng.next() % 1000) << (rng.next() % 16);
+            whole.record(v);
+            parts[rng.below(k)].record(v);
+        }
+
+        StatsRegistry merged_reg;
+        auto merged = merged_reg.histogram("lat", bounds);
+        for (const auto &part : parts)
+            merged.merge(*part.get());
+
+        const StatsRegistry::HistogramData &a = *whole.get();
+        const StatsRegistry::HistogramData &b = *merged.get();
+        EXPECT_EQ(a.buckets, b.buckets) << k << " parts";
+        EXPECT_EQ(a.count, b.count) << k << " parts";
+        EXPECT_EQ(a.sum, b.sum) << k << " parts";
+        EXPECT_EQ(a.min, b.min) << k << " parts";
+        EXPECT_EQ(a.max, b.max) << k << " parts";
+        for (std::uint64_t pct = 1; pct <= 100; ++pct)
+            EXPECT_EQ(a.percentile(pct, 100), b.percentile(pct, 100))
+                << k << " parts, p" << pct;
+        EXPECT_EQ(a.percentile(999, 1000), b.percentile(999, 1000))
+            << k << " parts";
+    }
+
+    StatsRegistry reg;
+    auto h = reg.histogram("lat", {10, 100});
+    auto other = reg.histogram("other", {10, 1000});
+    EXPECT_THROW(h.merge(*other.get()), PanicError);
+}
+
 TEST(HistogramPercentile, EstimateIsMonotoneInTheQuantile)
 {
     StatsRegistry reg;
