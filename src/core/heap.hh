@@ -2,19 +2,27 @@
  * @file
  * First-fit persistent-heap allocator.
  *
- * The allocator hands out ranges of the PM heap region. Its metadata
- * (free list, allocation table) is deliberately volatile: the paper's
- * recovery model reclaims regions leaked by a crash-interrupted
- * transaction with a garbage collector / persistent inspector
- * (Section IV-B, Pattern 1), so after a crash the structure-specific
- * recovery walks its roots, reports the set of reachable allocations,
- * and rebuild() reconstitutes the allocator state — leaking nothing.
+ * The allocator hands out ranges of the PM heap region: each request
+ * takes the lowest-address free range that is long enough. The free
+ * ranges sit in an address-ordered tree whose nodes also hold the
+ * longest range in their subtree, so first fit is one O(log n)
+ * descent instead of a walk past every hole too small for the
+ * request. Its metadata (free ranges, allocation table) is
+ * deliberately volatile: the paper's recovery model reclaims regions
+ * leaked by a crash-interrupted transaction with a garbage collector /
+ * persistent inspector (Section IV-B, Pattern 1), so after a crash the
+ * structure-specific recovery walks its roots, reports the set of
+ * reachable allocations, and rebuild() reconstitutes the allocator
+ * state — leaking nothing.
  */
 
 #ifndef SLPMT_CORE_HEAP_HH
 #define SLPMT_CORE_HEAP_HH
 
+#include <algorithm>
 #include <cstdint>
+#include <ext/pb_ds/assoc_container.hpp>
+#include <ext/pb_ds/tree_policy.hpp>
 #include <map>
 #include <unordered_map>
 #include <vector>
@@ -34,6 +42,29 @@ struct AllocInfo
     std::uint64_t txnSeq = 0;  //!< transaction that allocated it
 };
 
+/**
+ * Tree node update for the free ranges: each node's metadata is the
+ * longest range length in its subtree. The tree maintains it on
+ * insert and erase only, so a range's length is never changed in
+ * place.
+ */
+template <class NodeCItr, class NodeItr, class CmpFn, class Alloc>
+struct LongestRangeUpdate
+{
+    using metadata_type = Bytes;
+
+    void
+    operator()(NodeItr node, NodeCItr end) const
+    {
+        Bytes longest = (*node)->second;
+        if (const NodeCItr left = node.get_l_child(); left != end)
+            longest = std::max(longest, left.get_metadata());
+        if (const NodeCItr right = node.get_r_child(); right != end)
+            longest = std::max(longest, right.get_metadata());
+        const_cast<Bytes &>(node.get_metadata()) = longest;
+    }
+};
+
 /** Volatile-metadata first-fit allocator over the PM heap range. */
 class PersistentHeap
 {
@@ -45,27 +76,39 @@ class PersistentHeap
           statFrees(stats.counter("heap.frees")),
           statGcReclaims(stats.counter("heap.gcReclaimedAllocs"))
     {
-        freeRanges[base] = size;
+        freeRanges.insert({base, size});
     }
 
-    /** Allocate @p size bytes, 8-byte aligned. */
+    /** Allocate @p size bytes, 8-byte aligned, from the lowest-address
+     *  free range that fits. */
     Addr
     alloc(Bytes size, std::uint64_t txn_seq = 0)
     {
         const Bytes need = roundUp(size);
-        for (auto it = freeRanges.begin(); it != freeRanges.end(); ++it) {
-            if (it->second < need)
-                continue;
-            const Addr addr = it->first;
-            const Bytes remaining = it->second - need;
-            freeRanges.erase(it);
-            if (remaining > 0)
-                freeRanges[addr + need] = remaining;
-            live[addr] = {need, txn_seq};
-            statAllocs++;
-            return addr;
+        const auto end = freeRanges.node_end();
+        auto node = freeRanges.node_begin();
+        if (node == end || node.get_metadata() < need)
+            fatal("persistent heap exhausted");
+        // Some range in this subtree fits: prefer the left (lower)
+        // subtree, then this node; otherwise one fits on the right.
+        for (;;) {
+            const auto left = node.get_l_child();
+            if (left != end && left.get_metadata() >= need)
+                node = left;
+            else if ((*node)->second >= need)
+                break;
+            else
+                node = node.get_r_child();
         }
-        fatal("persistent heap exhausted");
+        const auto it = *node;
+        const Addr addr = it->first;
+        const Bytes remaining = it->second - need;
+        freeRanges.erase(it);
+        if (remaining > 0)
+            freeRanges.insert({addr + need, remaining});
+        live[addr] = {need, txn_seq};
+        statAllocs++;
+        return addr;
     }
 
     /** Release an allocation. */
@@ -159,13 +202,13 @@ class PersistentHeap
     {
         live.clear();
         freeRanges.clear();
-        freeRanges[heapBase] = heapSize;
+        freeRanges.insert({heapBase, heapSize});
     }
 
     Addr base() const { return heapBase; }
     Bytes size() const { return heapSize; }
 
-    /** @name Checkpointing (ordered maps: deterministic iteration) */
+    /** @name Checkpointing (ordered trees: deterministic iteration) */
     /** @{ */
     void
     saveState(BlobWriter &w) const
@@ -191,7 +234,7 @@ class PersistentHeap
         const std::size_t nfree = r.count(2 * sizeof(Addr));
         for (std::size_t i = 0; i < nfree; ++i) {
             const Addr addr = r.u<Addr>();
-            freeRanges[addr] = r.u<Bytes>();
+            freeRanges.insert({addr, r.u<Bytes>()});
         }
         const std::size_t nlive = r.count(3 * sizeof(Addr));
         for (std::size_t i = 0; i < nlive; ++i) {
@@ -229,12 +272,17 @@ class PersistentHeap
             size += next->second;
             freeRanges.erase(next);
         }
-        freeRanges[addr] = size;
+        freeRanges.insert({addr, size});
     }
 
     Addr heapBase;
     Bytes heapSize;
-    std::map<Addr, Bytes> freeRanges;   //!< base -> length
+    /** Free ranges, base -> length, with subtree-longest metadata. */
+    using FreeRangeTree =
+        __gnu_pbds::tree<Addr, Bytes, std::less<Addr>,
+                         __gnu_pbds::rb_tree_tag, LongestRangeUpdate>;
+
+    FreeRangeTree freeRanges;
     std::map<Addr, AllocInfo> live;     //!< base -> info
 
     StatsRegistry::Counter statAllocs;

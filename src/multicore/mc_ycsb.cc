@@ -125,10 +125,11 @@ runMcYcsb(const McYcsbConfig &cfg)
     result.quanta = run.quanta;
     result.crashed = run.crashed;
     result.statsAfter = machine.snapshot();
-    for (std::size_t i = 0; i < cfg.numCores; ++i)
-        result.makespan =
-            std::max(result.makespan,
-                     machine.core(i).engine().now() - start[i]);
+    for (std::size_t i = 0; i < cfg.numCores; ++i) {
+        const Cycles core_cycles = machine.core(i).engine().now() - start[i];
+        result.makespan = std::max(result.makespan, core_cycles);
+        result.coreCyclesSum += core_cycles;
+    }
 
     if (result.crashed) {
         result.failure = "crashed mid-stream";
@@ -207,6 +208,7 @@ runMcExperiment(const std::string &workload_name,
     result.workload = workload_name;
     result.scheme = cfg.scheme;
     result.cycles = run.makespan;
+    result.coreCyclesSum = run.coreCyclesSum;
     const StatsSnapshot delta =
         StatsRegistry::delta(run.statsBefore, run.statsAfter);
 

@@ -106,6 +106,7 @@ class McYcsbDriver : public McCoreDriver
 struct McYcsbResult
 {
     Cycles makespan = 0;     //!< slowest core's measured cycles
+    Cycles coreCyclesSum = 0;  //!< every core's measured cycles
     std::size_t quanta = 0;
     bool crashed = false;
     std::vector<McOpRecord> commitLog;  //!< scheduler-commit order

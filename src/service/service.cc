@@ -164,6 +164,7 @@ struct ShardRun
     StatsSnapshot before;              //!< machine, window start
     StatsSnapshot after;               //!< machine, window end
     Cycles cycles = 0;                 //!< slowest core's window
+    Cycles coreCyclesSum = 0;          //!< every core's window
     std::uint64_t imageFp = 0;         //!< PM image at window end
     std::string failure;               //!< oracle diagnostic, if any
     std::exception_ptr error;          //!< exception thrown, if any
@@ -226,9 +227,11 @@ runShard(const ServiceConfig &cfg, const SystemConfig &sys_cfg,
         sched.seed = mix64Salted(cfg.sched.seed, s + 1);
         runInterleaved(machine, ptrs, sched);
     }
-    for (std::size_t c = 0; c < cfg.coresPerShard; ++c)
-        run.cycles = std::max(run.cycles,
-                              machine.core(c).engine().now() - start[c]);
+    for (std::size_t c = 0; c < cfg.coresPerShard; ++c) {
+        const Cycles core_cycles = machine.core(c).engine().now() - start[c];
+        run.cycles = std::max(run.cycles, core_cycles);
+        run.coreCyclesSum += core_cycles;
+    }
 
     // Capture the bit-for-bit identities before verification perturbs
     // caches and clocks.
@@ -394,6 +397,7 @@ runService(const ServiceConfig &cfg)
         res.shardCycles.push_back(run.cycles);
         res.shardOps.push_back(streams[s].size());
         res.makespan = std::max(res.makespan, run.cycles);
+        res.coreCyclesSum += run.coreCyclesSum;
         res.shardImageFp.push_back(run.imageFp);
         if (res.verified && !run.failure.empty()) {
             res.verified = false;
@@ -470,8 +474,7 @@ runServiceExperiment(const std::string &workload_name,
     result.workload = workload_name;
     result.scheme = cfg.scheme;
     result.cycles = run.makespan;
-    for (const Cycles c : run.shardCycles)
-        result.shardCyclesSum += c;
+    result.coreCyclesSum = run.coreCyclesSum;
 
     // Shared-device counters appear once per shard under "shardN.";
     // engine counters per core under "shardN.coreM.". Summing

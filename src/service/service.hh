@@ -111,6 +111,7 @@ struct KvServiceResult
     Cycles makespan = 0;
 
     std::vector<Cycles> shardCycles;      //!< per-shard op-phase cycles
+    Cycles coreCyclesSum = 0;  //!< every shard core's op-phase cycles
     std::vector<std::size_t> shardOps;    //!< executed shard ops each
 
     /** Post-run (pre-verification) full machine snapshots and PM

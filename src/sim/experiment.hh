@@ -129,15 +129,16 @@ struct ExperimentResult
     /** Full flattened stats delta of the measured window. */
     StatsSnapshot stats;
 
-    /** Service cells: every shard's op-phase cycles summed (cycles
-     *  holds only the slowest shard's); 0 for one-machine cells. */
-    Cycles shardCyclesSum = 0;
+    /** Multicore and service cells: every core's measured cycles
+     *  summed over cores and shards (cycles holds only the slowest
+     *  core's); 0 for single-core cells. */
+    Cycles coreCyclesSum = 0;
 
-    /** Simulated cycles the cell executed, across all its machines. */
+    /** Simulated cycles the cell executed, across all its cores. */
     Cycles
     simulatedWork() const
     {
-        return shardCyclesSum ? shardCyclesSum : cycles;
+        return coreCyclesSum ? coreCyclesSum : cycles;
     }
 
     double

@@ -1105,8 +1105,9 @@ runProfile(const BenchOptions &opts)
                          name.c_str(), failures.c_str());
         }
 
-        // Rates divide simulated work, which for a service cell is
-        // every shard's cycles, not the makespan its report holds.
+        // Rates divide simulated work, which for a multicore or
+        // service cell is every core's cycles, not the makespan its
+        // report holds.
         std::uint64_t sim_cycles = 0;
         std::uint64_t sim_work = 0;
         for (const ExperimentResult &res : result.results) {

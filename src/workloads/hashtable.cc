@@ -159,6 +159,7 @@ HashTableWorkload::resize(PmContext &sys, std::uint64_t new_num)
                                  siteJournal);
     sys.writeSite<std::uint64_t>(journalAddr + JnlOff::valid, 1,
                                  siteJournal);
+    journalValid = true;
 
     // Volatile staging of the new chains so copies can be written in
     // one pass with correct next pointers.
@@ -285,6 +286,7 @@ HashTableWorkload::recover(PmContext &sys)
     // the deferred-free list: after rollback the old table is still
     // live, so those frees must never happen.
     deferredFrees.clear();
+    journalValid = false;  // both paths below leave the flag clear
     headerAddr = sys.peek<Addr>(sys.rootSlotAddr(headerRootSlot));
     journalAddr = sys.peek<Addr>(sys.rootSlotAddr(journalRootSlot));
 
@@ -493,7 +495,18 @@ HashTableWorkload::remove(PmContext &sys, std::uint64_t key)
     if (!node)
         return false;
 
+    // First remove since a resize: a crash recovered through the
+    // journal would merge the old table, and with it this key, back
+    // in. Make the resize's copies durable, then retire the journal
+    // inside this transaction (see the header comment).
+    const bool retire_journal = journalValid;
+    if (retire_journal)
+        sys.quiesce();
+
     DurableTx tx(sys);
+    if (retire_journal)
+        sys.writeSite<std::uint64_t>(journalAddr + JnlOff::valid, 0,
+                                     siteJournal);
     sys.compute(opcost::insertBase / 2);
     const Addr next = sys.read<Addr>(node + NodeOff::next);
     if (!prev) {
@@ -517,6 +530,7 @@ HashTableWorkload::remove(PmContext &sys, std::uint64_t key)
     sys.writeSite<std::uint64_t>(node + NodeOff::chk, 0, siteDeadPoison);
     const Addr blob = sys.read<Addr>(node + NodeOff::valPtr);
     tx.commit();
+    journalValid = false;
     sys.heap().free(node);
     sys.heap().free(blob);
     return true;

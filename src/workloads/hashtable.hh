@@ -26,6 +26,15 @@
  *  (Section III-C). Recovery therefore merges the checksum-valid part
  *  of the new table (which always includes every post-resize insert,
  *  because those are eager) with the old table's contents.
+ *
+ *  The merge is only sound until the first remove after the resize:
+ *  the old table still holds the removed key, and the merge would
+ *  bring it back. So that remove first makes the resize's copies
+ *  durable (quiesce), then clears the journal's valid flag with a
+ *  logged store inside its own transaction. If it commits, recovery
+ *  walks the new table alone; if it rolls back, the flag is set again
+ *  and the merge sees no remove to undo. Inserts and updates leave the
+ *  flag alone.
  */
 
 #ifndef SLPMT_WORKLOADS_HASHTABLE_HH
@@ -154,6 +163,10 @@ class HashTableWorkload : public Workload
     Addr headerAddr = 0;   //!< cached from the root slot
     Addr journalAddr = 0;
     std::uint64_t resizeCount = 0;
+
+    /** The durable journal's valid flag is set: a resize committed
+     *  and no remove has cleared the flag since (see remove()). */
+    bool journalValid = false;
 
     /**
      * Old-table storage released only *after* the resize transaction
