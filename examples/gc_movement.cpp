@@ -117,7 +117,7 @@ main()
 
         auto get = [&](const char *name) {
             auto it = delta.find(name);
-            return it == delta.end() ? 0ULL : it->second;
+            return it == delta.end() ? std::uint64_t{0} : it->second;
         };
         std::printf(
             "%-5s moves: %" PRIu64 " cycles, %" PRIu64

@@ -95,19 +95,27 @@ checkState(PmContext &ctx, Workload &wl, const Shadow &shadow,
         add("count mismatch: structure holds " + std::to_string(n) +
             ", oracle expects " + std::to_string(shadow.size()));
 
-    std::vector<std::uint8_t> got;
-    for (const auto &[key, value] : shadow) {
-        got.clear();
-        if (!wl.lookup(ctx, key, &got))
-            add("committed key " + hexKey(key) + " missing");
-        else if (got != value)
-            add("value mismatch for committed key " + hexKey(key));
-    }
+    auto it = shadow.begin();
+    wl.lookupAll(ctx, keysOf(shadow), true,
+                 [&](std::size_t, bool found,
+                     const std::vector<std::uint8_t> &got) {
+                     const auto &[key, value] = *it++;
+                     if (!found)
+                         add("committed key " + hexKey(key) + " missing");
+                     else if (got != value)
+                         add("value mismatch for committed key " +
+                             hexKey(key));
+                     return true;
+                 });
 
-    for (std::uint64_t key : absent_keys) {
-        if (wl.lookup(ctx, key, nullptr))
-            add("uncommitted key " + hexKey(key) + " visible");
-    }
+    wl.lookupAll(ctx, absent_keys, false,
+                 [&](std::size_t i, bool found,
+                     const std::vector<std::uint8_t> &) {
+                     if (found)
+                         add("uncommitted key " + hexKey(absent_keys[i]) +
+                             " visible");
+                     return true;
+                 });
 }
 
 /**

@@ -71,16 +71,22 @@ verifyAgainstLog(Workload &wl, PmContext &ctx,
     std::string inner;
     if (!wl.checkConsistency(ctx, &inner))
         return failCheck(why, "consistency: " + inner);
-    std::vector<std::uint8_t> got;
-    for (const auto &[key, value] : expected) {
-        if (!wl.lookup(ctx, key, &got))
-            return failCheck(why,
-                             "missing key " + std::to_string(key));
-        if (got != *value)
-            return failCheck(why,
-                             "value mismatch at key " +
-                                 std::to_string(key));
-    }
+    auto it = expected.begin();
+    bool ok = true;
+    wl.lookupAll(ctx, keysOf(expected), true,
+                 [&](std::size_t, bool found,
+                     const std::vector<std::uint8_t> &got) {
+                     const auto &[key, value] = *it++;
+                     if (!found)
+                         ok = failCheck(why, "missing key " +
+                                                 std::to_string(key));
+                     else if (got != *value)
+                         ok = failCheck(why, "value mismatch at key " +
+                                                 std::to_string(key));
+                     return ok;
+                 });
+    if (!ok)
+        return false;
     if (wl.count(ctx) != expected.size())
         return failCheck(why, "count mismatch");
     return true;

@@ -254,15 +254,17 @@ runShard(const ServiceConfig &cfg, const SystemConfig &sys_cfg,
                       std::to_string(expected.size());
         return;
     }
-    std::vector<std::uint8_t> got;
-    for (const auto &[key, value] : expected) {
-        if (!wl->lookup(ctx, key, &got) ||
-            got != svcValueFor(key, value.valueSalt, value.valueBytes)) {
+    wl->lookupAll(
+        ctx, keysOf(expected), true,
+        [&](std::size_t i, bool found, const std::vector<std::uint8_t> &got) {
+            const auto &[key, value] = expected[i];
+            if (found &&
+                got == svcValueFor(key, value.valueSalt, value.valueBytes))
+                return true;
             run.failure =
                 shard + " lookup mismatch at key " + std::to_string(key);
-            return;
-        }
-    }
+            return false;
+        });
 }
 
 const AnnotationPolicy *

@@ -83,14 +83,21 @@ runExperiment(const std::string &workload_name,
         result.failure = "consistency: " + why;
         return result;
     }
-    std::vector<std::uint8_t> got;
-    for (const auto &op : ops) {
-        if (!workload->lookup(sys, op.key, &got) || got != op.value) {
-            result.verified = false;
-            result.failure = "lookup mismatch";
-            return result;
-        }
-    }
+    std::vector<std::uint64_t> keys;
+    keys.reserve(ops.size());
+    for (const auto &op : ops)
+        keys.push_back(op.key);
+    workload->lookupAll(sys, keys, true,
+                        [&](std::size_t i, bool found,
+                            const std::vector<std::uint8_t> &got) {
+                            if (found && got == ops[i].value)
+                                return true;
+                            result.verified = false;
+                            result.failure = "lookup mismatch";
+                            return false;
+                        });
+    if (!result.verified)
+        return result;
     if (workload->count(sys) != ops.size()) {
         result.verified = false;
         result.failure = "count mismatch";

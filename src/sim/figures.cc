@@ -745,9 +745,11 @@ const std::vector<unsigned> serviceMixes = {0, 1, 2};  // YCSB A, B, C
 std::string
 serviceSuffix(std::size_t shards, bool zipf, unsigned mix)
 {
-    return "s" + std::to_string(shards) + "/" +
-           (zipf ? "zipf" : "uni") + "/" +
-           ycsbMixName(static_cast<YcsbMix>(mix));
+    std::string suffix = "s";
+    suffix += std::to_string(shards);
+    suffix += zipf ? "/zipf/" : "/uni/";
+    suffix += ycsbMixName(static_cast<YcsbMix>(mix));
+    return suffix;
 }
 
 std::vector<ExperimentCase>

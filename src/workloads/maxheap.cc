@@ -1,5 +1,6 @@
 #include "workloads/maxheap.hh"
 
+#include <unordered_map>
 #include <unordered_set>
 
 namespace slpmt
@@ -155,6 +156,38 @@ MaxHeapWorkload::lookup(PmContext &sys, std::uint64_t key,
         }
     }
     return false;
+}
+
+void
+MaxHeapWorkload::lookupAll(PmContext &sys,
+                           std::span<const std::uint64_t> keys,
+                           bool with_values, const LookupSink &sink)
+{
+    // An empty batch reads nothing, as the per-key loop does.
+    if (keys.empty())
+        return;
+    // Index the array once; try_emplace keeps the lowest index of a
+    // duplicate key, which is the entry lookup()'s scan stops at.
+    const auto cnt = sys.read<std::uint64_t>(headerAddr + HdrOff::count);
+    const Addr arr = sys.read<Addr>(headerAddr + HdrOff::arrPtr);
+    std::unordered_map<std::uint64_t, Entry> index;
+    index.reserve(cnt);
+    for (std::uint64_t i = 0; i < cnt; ++i) {
+        const Entry e = readEntry(sys, arr, i);
+        index.try_emplace(e.key, e);
+    }
+    std::vector<std::uint8_t> buf;
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+        const auto it = index.find(keys[i]);
+        const bool found = it != index.end();
+        if (found && with_values) {
+            buf.resize(it->second.valLen);
+            sys.readBytes(it->second.valPtr, buf.data(),
+                          it->second.valLen);
+        }
+        if (!sink(i, found, buf))
+            return;
+    }
 }
 
 bool

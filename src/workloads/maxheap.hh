@@ -47,6 +47,11 @@ class MaxHeapWorkload : public Workload
                 const std::vector<std::uint8_t> &value) override;
     bool lookup(PmContext &sys, std::uint64_t key,
                 std::vector<std::uint8_t> *out) override;
+
+    /** One pass over the entry array instead of one scan per key. */
+    void lookupAll(PmContext &sys, std::span<const std::uint64_t> keys,
+                   bool with_values, const LookupSink &sink) override;
+
     bool update(PmContext &sys, std::uint64_t key,
                 const std::vector<std::uint8_t> &value) override;
     std::size_t count(PmContext &sys) override;

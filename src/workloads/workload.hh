@@ -28,7 +28,9 @@
 #define SLPMT_WORKLOADS_WORKLOAD_HH
 
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -69,6 +71,15 @@ valueWork(std::size_t bytes)
 }
 
 } // namespace opcost
+
+/**
+ * Receives one lookupAll() result: the key's position in the input
+ * list, whether it was found, and its value bytes (meaningful only
+ * when found and values were requested). Returning false stops the
+ * batch.
+ */
+using LookupSink = std::function<bool(
+    std::size_t idx, bool found, const std::vector<std::uint8_t> &value)>;
 
 /** A durable key-value container under test. */
 class Workload
@@ -116,6 +127,28 @@ class Workload
                         std::vector<std::uint8_t> *out) = 0;
 
     /**
+     * Look up every key of @p keys, streaming one result per key to
+     * @p sink in input order. Each result equals what lookup() returns
+     * for that key; @p with_values selects lookup(key, &buf) over
+     * lookup(key, nullptr). The verification loops of the runners and
+     * crash oracles go through here, so a structure whose per-key
+     * lookup is a scan can answer the whole batch in one pass. The
+     * default is the per-key loop over one reused buffer.
+     */
+    virtual void
+    lookupAll(PmContext &sys, std::span<const std::uint64_t> keys,
+              bool with_values, const LookupSink &sink)
+    {
+        std::vector<std::uint8_t> buf;
+        for (std::size_t i = 0; i < keys.size(); ++i) {
+            const bool found =
+                lookup(sys, keys[i], with_values ? &buf : nullptr);
+            if (!sink(i, found, buf))
+                return;
+        }
+    }
+
+    /**
      * Remove a key in one durable transaction. Removal is where the
      * paper's Pattern-1b applies: stores into the region the
      * transaction frees (poisoning the dead node) need neither
@@ -152,6 +185,19 @@ class Workload
      */
     virtual bool checkConsistency(PmContext &sys, std::string *why) = 0;
 };
+
+/** The keys of a key-ordered list of (key, value) pairs, in order: the
+ *  key list an oracle check hands to lookupAll(). */
+template <typename Pairs>
+std::vector<std::uint64_t>
+keysOf(const Pairs &pairs)
+{
+    std::vector<std::uint64_t> keys;
+    keys.reserve(pairs.size());
+    for (const auto &entry : pairs)
+        keys.push_back(entry.first);
+    return keys;
+}
 
 /** Null-terminated diagnostic helper. */
 inline bool

@@ -322,7 +322,7 @@ TEST(WorkQueue, UnevenItemCostsStillComplete)
         // Front-loaded cost: stealing from the busy worker matters.
         volatile std::uint64_t x = 0;
         for (std::size_t k = 0; k < (i < 4 ? 200000u : 100u); ++k)
-            x += k;
+            x = x + k;
         done++;
     });
     EXPECT_EQ(done.load(), n);

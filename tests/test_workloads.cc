@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <map>
 #include <random>
+#include <set>
 
 #include "core/pm_system.hh"
 #include "test_util.hh"
@@ -267,6 +268,194 @@ TEST(Workloads, DistinctRootSlotsAcrossWorkloads)
     std::string why;
     EXPECT_TRUE(ht->checkConsistency(sys, &why)) << why;
     EXPECT_TRUE(tree->checkConsistency(sys, &why)) << why;
+}
+
+/** Per-key lookup() results for @p keys, the referee of lookupAll. */
+struct PerKeyResults
+{
+    std::vector<bool> found;
+    std::vector<std::vector<std::uint8_t>> values;
+};
+
+PerKeyResults
+perKeyLookups(PmSystem &sys, Workload &wl,
+              const std::vector<std::uint64_t> &keys, bool with_values)
+{
+    PerKeyResults r;
+    for (std::uint64_t key : keys) {
+        std::vector<std::uint8_t> got;
+        r.found.push_back(wl.lookup(sys, key, with_values ? &got : nullptr));
+        r.values.push_back(r.found.back() && with_values
+                               ? got
+                               : std::vector<std::uint8_t>{});
+    }
+    return r;
+}
+
+/** lookupAll must stream exactly the per-key results, in order, and
+ *  stop when the sink says so. */
+void
+expectLookupAllMatches(PmSystem &sys, Workload &wl,
+                       const std::vector<std::uint64_t> &keys,
+                       const std::string &where)
+{
+    for (bool with_values : {true, false}) {
+        SCOPED_TRACE(where + (with_values ? " with values" : " no values"));
+        const PerKeyResults want = perKeyLookups(sys, wl, keys, with_values);
+        std::size_t next = 0;
+        wl.lookupAll(sys, keys, with_values,
+                     [&](std::size_t i, bool found,
+                         const std::vector<std::uint8_t> &got) {
+                         EXPECT_EQ(i, next);
+                         ++next;
+                         EXPECT_EQ(found, want.found[i])
+                             << "key " << keys[i];
+                         if (found && with_values) {
+                             EXPECT_EQ(got, want.values[i])
+                                 << "key " << keys[i];
+                         }
+                         return true;
+                     });
+        EXPECT_EQ(next, keys.size());
+
+        const std::size_t stop_at = keys.size() / 2;
+        std::size_t calls = 0;
+        wl.lookupAll(sys, keys, with_values,
+                     [&](std::size_t i, bool, const auto &) {
+                         ++calls;
+                         return i != stop_at;
+                     });
+        EXPECT_EQ(calls, stop_at + 1);
+    }
+}
+
+TEST(WorkloadLookupAll, MatchesPerKeyLookup)
+{
+    std::vector<std::string> names;
+    for (const auto *group :
+         {&kernelWorkloads(), &kvWorkloads(), &indexWorkloads()}) {
+        for (const auto &name : *group) {
+            if (std::find(names.begin(), names.end(), name) == names.end())
+                names.push_back(name);
+        }
+    }
+    const auto trace =
+        ycsbMixedLoad({.numOps = 240, .valueBytes = 40, .seed = 15,
+                       .insertPct = 65, .updatePct = 20,
+                       .removePct = 15});
+
+    for (const auto &name : names) {
+        for (LoggingStyle style : {LoggingStyle::Undo, LoggingStyle::Redo}) {
+            const std::string where =
+                name + (style == LoggingStyle::Undo ? " undo" : " redo");
+            SCOPED_TRACE(where);
+            SystemConfig cfg;
+            cfg.scheme = SchemeConfig::forKind(SchemeKind::SLPMT);
+            cfg.style = style;
+            PmSystem sys(cfg);
+            auto wl = makeWorkload(name);
+            wl->setup(sys);
+
+            std::map<std::uint64_t, bool> live;
+            for (const auto &op : trace) {
+                switch (op.kind) {
+                  case YcsbOpKind::Insert:
+                    wl->insert(sys, op.key, op.value);
+                    live[op.key] = true;
+                    break;
+                  case YcsbOpKind::Update:
+                    wl->update(sys, op.key, op.value);
+                    break;
+                  case YcsbOpKind::Remove:
+                    if (wl->remove(sys, op.key))
+                        live[op.key] = false;
+                    break;
+                }
+            }
+
+            // Trace keys (present and removed), never-inserted keys
+            // (trace keys are odd), and one key listed twice.
+            std::vector<std::uint64_t> keys;
+            for (const auto &[key, present] : live)
+                keys.push_back(key);
+            for (std::uint64_t k = 2; k <= 20; k += 6)
+                keys.push_back(k);
+            keys.push_back(trace.front().key);
+            const auto removed = std::count_if(
+                live.begin(), live.end(),
+                [](const auto &kv) { return !kv.second; });
+            if (name == "hashtable" || name == "heap" ||
+                name == "skiplist") {
+                EXPECT_GT(removed, 0);
+            }
+
+            // The heap scan stops at the lowest index of a key that
+            // appears twice; insert a second copy of a live key.
+            if (name == "heap") {
+                const auto dup = std::find_if(
+                    live.begin(), live.end(),
+                    [](const auto &kv) { return kv.second; });
+                ASSERT_NE(dup, live.end());
+                wl->insert(sys, dup->first,
+                           std::vector<std::uint8_t>(24, 0xd7));
+                keys.push_back(dup->first);
+            }
+            expectLookupAllMatches(sys, *wl, keys, "after trace");
+
+            // Crash inside one more insert, then recover.
+            const std::uint64_t fresh = 0x5a5a5a5a00ULL;
+            sys.armCrashAfterStores(5);
+            bool crashed = false;
+            try {
+                wl->insert(sys, fresh, std::vector<std::uint8_t>(40, 0x3c));
+            } catch (const CrashInjected &) {
+                crashed = true;
+            }
+            sys.armCrashAfterStores(0);
+            EXPECT_TRUE(crashed);
+            if (!crashed)
+                sys.crash();
+            sys.recoverHardware();
+            wl->recover(sys);
+            keys.push_back(fresh);
+            expectLookupAllMatches(sys, *wl, keys, "after recovery");
+        }
+    }
+}
+
+TEST(WorkloadLookupAll, HeapBatchCostIsLinear)
+{
+    // The per-key scan issues ~3n^2/2 entry loads for n keys; the
+    // batched lookup reads each entry once plus each value once.
+    constexpr std::size_t n = 2000;
+    PmSystem sys;
+    MaxHeapWorkload heap;
+    heap.setup(sys);
+    const auto ops = ycsbLoad({.numOps = n, .valueBytes = 16, .seed = 16});
+    std::vector<std::uint64_t> keys;
+    for (const auto &op : ops) {
+        heap.insert(sys, op.key, op.value);
+        keys.push_back(op.key);
+    }
+
+    const StatsSnapshot before = sys.stats().snapshot();
+    std::size_t found = 0;
+    heap.lookupAll(sys, keys, true,
+                   [&](std::size_t, bool hit, const auto &) {
+                       found += hit ? 1 : 0;
+                       return true;
+                   });
+    const StatsSnapshot delta =
+        StatsRegistry::delta(before, sys.stats().snapshot());
+    EXPECT_EQ(found, n);
+    auto get = [&](const char *name) {
+        auto it = delta.find(name);
+        return it == delta.end() ? std::uint64_t{0} : it->second;
+    };
+    const std::uint64_t l1_accesses =
+        get("cache.l1Hits") + get("cache.l1Misses");
+    EXPECT_GT(l1_accesses, 0u);
+    EXPECT_LE(l1_accesses, 8 * n) << "lookupAll is not linear in n";
 }
 
 } // namespace
